@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench bench-sign bench-strategies bench-scale bench-unlearn bench-verify bench-all test-faults
+.PHONY: all build test race vet fmt check bench bench-sign bench-strategies bench-scale bench-unlearn bench-verify bench-fleet bench-all test-faults
 
 all: check
 
@@ -73,6 +73,16 @@ bench-unlearn:
 # scorecards in BENCH_verify.json.
 bench-verify:
 	scripts/bench.sh -verify
+
+# bench-fleet builds fleetbench — a Go module of its own, so `go build
+# ./...` and `go vet ./...` never compile it — and runs a short traced
+# pass of both workloads BENCHMARK.json gates. A failed output check
+# or span-tree validation exits non-zero. See fleetbench/README.md for
+# full-length runs.
+bench-fleet:
+	for w in fleet-lifecycle rsu-http; do \
+		bash fleetbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 || exit 1; \
+	done
 
 # bench-all sweeps every benchmark in the repo, including the
 # experiment-scale ones, without writing the JSON record.

@@ -12,6 +12,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 
 	"fuiov/internal/nn"
 	"fuiov/internal/rng"
@@ -60,31 +61,57 @@ func (d *Dataset) Clone() *Dataset {
 // Batch assembles the samples at the given indices into an nn.Batch
 // plus the aligned label slice.
 func (d *Dataset) Batch(indices []int) (*nn.Batch, []int) {
-	b := nn.NewBatch(len(indices), d.Dims)
-	labels := make([]int, len(indices))
-	for i, idx := range indices {
-		copy(b.Sample(i), d.X[idx])
-		labels[i] = d.Y[idx]
-	}
-	return b, labels
+	return d.batchInto(new(BatchBuf), indices)
 }
 
 // FullBatch assembles the entire dataset into one batch.
-func (d *Dataset) FullBatch() (*nn.Batch, []int) {
-	indices := make([]int, d.Len())
-	for i := range indices {
-		indices[i] = i
-	}
-	return d.Batch(indices)
-}
+func (d *Dataset) FullBatch() (*nn.Batch, []int) { return d.FullBatchInto(new(BatchBuf)) }
 
 // SampleBatch draws a uniform mini-batch of up to size samples
 // (without replacement within the batch).
 func (d *Dataset) SampleBatch(r *rng.RNG, size int) (*nn.Batch, []int) {
-	if size > d.Len() {
-		size = d.Len()
+	return d.SampleBatchInto(new(BatchBuf), r, size)
+}
+
+// BatchBuf is reusable scratch for FullBatchInto and SampleBatchInto:
+// the batch, its labels and the index permutation a draw consumes.
+// The zero value is ready to use.
+type BatchBuf struct {
+	x      nn.Batch
+	labels []int
+	idx    []int
+}
+
+// FullBatchInto is FullBatch assembled into buf. The returned batch
+// and labels alias buf and stay valid until its next use.
+func (d *Dataset) FullBatchInto(buf *BatchBuf) (*nn.Batch, []int) {
+	b := buf.x.Resize(d.Len(), d.Dims)
+	buf.labels = slices.Grow(buf.labels[:0], d.Len())[:d.Len()]
+	for i, x := range d.X {
+		copy(b.Sample(i), x)
 	}
-	return d.Batch(r.SampleWithoutReplacement(d.Len(), size))
+	copy(buf.labels, d.Y)
+	return b, buf.labels
+}
+
+// SampleBatchInto is SampleBatch assembled into buf: it draws the same
+// mini-batch from r without allocating once buf has grown. The
+// returned batch and labels alias buf and stay valid until its next
+// use.
+func (d *Dataset) SampleBatchInto(buf *BatchBuf, r *rng.RNG, size int) (*nn.Batch, []int) {
+	buf.idx = slices.Grow(buf.idx[:0], d.Len())[:d.Len()]
+	r.PermInto(buf.idx)
+	return d.batchInto(buf, buf.idx[:min(size, d.Len())])
+}
+
+func (d *Dataset) batchInto(buf *BatchBuf, indices []int) (*nn.Batch, []int) {
+	b := buf.x.Resize(len(indices), d.Dims)
+	buf.labels = slices.Grow(buf.labels[:0], len(indices))[:len(indices)]
+	for i, idx := range indices {
+		copy(b.Sample(i), d.X[idx])
+		buf.labels[i] = d.Y[idx]
+	}
+	return b, buf.labels
 }
 
 // Split partitions the dataset into a training set of trainFrac and a

@@ -13,6 +13,7 @@ import (
 	"fuiov/internal/history"
 	"fuiov/internal/nn"
 	"fuiov/internal/rng"
+	"fuiov/internal/tensor"
 )
 
 // Client is one vehicle participating in federated learning.
@@ -39,7 +40,10 @@ type Client struct {
 
 	// net is the client's private model replica, lazily cloned from
 	// the server template so concurrent clients never share state.
-	net *nn.Network
+	// rng and batch are the replica's per-call scratch.
+	net   *nn.Network
+	rng   *rng.RNG
+	batch dataset.BatchBuf
 }
 
 // Weight returns the FedAvg aggregation weight |Dᵢ| (eq. 1).
@@ -49,15 +53,23 @@ func (c *Client) Weight() float64 { return float64(c.Data.Len()) }
 // the given global parameters on a mini-batch drawn deterministically
 // from (seed, round, client ID). template provides the architecture;
 // the client keeps a private clone across rounds.
+//
+// The clone computes serially on the calling goroutine: concurrency
+// comes from running clients side by side (the round engine's
+// Parallelism), never from inside one client's kernels. In steady
+// state the returned gradient is the call's only allocation.
 func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed uint64, round int) ([]float64, error) {
 	if c.Data == nil || c.Data.Len() == 0 {
 		return nil, fmt.Errorf("fl: client %d has no data", c.ID)
 	}
 	if c.net == nil {
 		c.net = template.Clone()
+		c.net.SetExec(tensor.Serial)
+		c.rng = rng.New(0)
 	}
 	c.net.SetParamVector(params)
-	r := rng.New(rng.Mix(seed, uint64(c.ID)+1, uint64(round)+1))
+	r := c.rng
+	r.Reseed(rng.Mix(seed, uint64(c.ID)+1, uint64(round)+1))
 
 	var g []float64
 	if c.LocalSteps > 1 {
@@ -72,12 +84,11 @@ func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed ui
 		}
 		// Pseudo-gradient: the direction the local run moved, rescaled
 		// so the server's η-step (eq. 2) reproduces FedAvg model
-		// averaging.
-		end := c.net.ParamVector()
-		g = make([]float64, len(params))
+		// averaging. g starts as the end point and is rewritten in place.
+		g = c.net.ParamVector()
 		inv := 1 / c.LocalLR
 		for i := range g {
-			g[i] = (params[i] - end[i]) * inv
+			g[i] = (params[i] - g[i]) * inv
 		}
 	} else {
 		x, labels := c.sampleBatch(r)
@@ -94,7 +105,7 @@ func (c *Client) ComputeGradient(template *nn.Network, params []float64, seed ui
 // BatchSize is 0 or exceeds the shard).
 func (c *Client) sampleBatch(r *rng.RNG) (*nn.Batch, []int) {
 	if c.BatchSize > 0 && c.BatchSize < c.Data.Len() {
-		return c.Data.SampleBatch(r, c.BatchSize)
+		return c.Data.SampleBatchInto(&c.batch, r, c.BatchSize)
 	}
-	return c.Data.FullBatch()
+	return c.Data.FullBatchInto(&c.batch)
 }

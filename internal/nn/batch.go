@@ -6,12 +6,21 @@
 //
 // Layer compute is built on the GEMM kernels in internal/tensor:
 // convolutions run as im2col + GEMM (col2im for the input gradient),
-// dense layers as one batched GEMM per call, with layer-owned scratch
-// reused across calls. Every kernel keeps a fixed per-element
-// accumulation order, so training is bit-deterministic at any
-// parallelism level — the property the seeded federated experiments
-// rely on. The original direct loops survive as unexported reference
-// implementations checked against the kernels by property tests.
+// dense layers as one batched GEMM per call. Every kernel keeps a fixed
+// per-element accumulation order, so training is bit-deterministic at
+// any parallelism level — the property the seeded federated
+// experiments rely on. The original direct loops survive as unexported
+// reference implementations checked against the kernels by property
+// tests.
+//
+// Layers own their scratch, output and input-gradient batches and
+// reuse them across calls, so a steady-state training step allocates
+// nothing. A batch returned by Forward or Backward is therefore valid
+// only until the next call on the same network; callers that keep one
+// must Clone it. Network.SetExec(tensor.Serial) keeps every kernel on
+// the calling goroutine, for replicas that already run on one of
+// several concurrent workers (the federated clients); the default lets
+// large kernels fan out over GOMAXPROCS.
 package nn
 
 import "fmt"
@@ -42,6 +51,15 @@ type Batch struct {
 // NewBatch allocates a zeroed batch.
 func NewBatch(n int, dims Dims) *Batch {
 	return &Batch{N: n, Dims: dims, Data: make([]float64, n*dims.Size())}
+}
+
+// Resize reshapes b to n samples of dims and returns it, growing the
+// backing array only when it is too small. Contents are unspecified.
+// Layers use it for the output and gradient batches they own.
+func (b *Batch) Resize(n int, dims Dims) *Batch {
+	b.N, b.Dims = n, dims
+	b.Data = growFloats(b.Data, n*dims.Size())
+	return b
 }
 
 // Sample returns the slice backing sample i (a live view, not a copy).

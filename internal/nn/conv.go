@@ -17,9 +17,9 @@ import (
 // Forward and Backward are formulated as im2col + GEMM (col2im for the
 // input gradient): each sample's receptive fields are unpacked into a
 // patch matrix once, and the convolution becomes a single matrix
-// product against the weight matrix. The patch scratch is owned by the
-// layer and reused across calls, so steady-state training rounds incur
-// no per-call kernel allocation beyond the output batch itself.
+// product against the weight matrix. The patch scratch and the output
+// and input-gradient batches are owned by the layer and reused across
+// calls, so steady-state training rounds allocate nothing.
 type Conv2D struct {
 	InC, OutC int
 	K         int  // square kernel size
@@ -27,12 +27,16 @@ type Conv2D struct {
 
 	params []float64 // weights OutC*InC*K*K, then biases OutC
 	grads  []float64
+	exec   tensor.Exec
 
-	lastIn *Batch
+	lastIn  *Batch
+	out, dx Batch
 	// cols caches the im2col expansion of lastIn (per sample a
 	// KK×P panel, KK = InC·K², P = OH·OW); Backward reuses it for the
 	// weight-gradient GEMM. dcols is the backward patch-gradient
-	// scratch. Both are grown once and reused across calls.
+	// scratch: one panel per sample when samples run in parallel, a
+	// single panel when the layer is serial. Both are grown once and
+	// reused across calls.
 	cols, dcols []float64
 }
 
@@ -85,9 +89,10 @@ func (c *Conv2D) padOffset() int {
 }
 
 // Forward performs the convolution as per-sample im2col + GEMM.
-// Samples are processed in parallel when the batch is large enough;
-// each sample is computed entirely by one goroutine with a fixed
-// accumulation order, so results are bit-identical at any parallelism.
+// Samples are processed in parallel when the batch is large enough and
+// the layer is not serial; each sample is computed entirely by one
+// goroutine with a fixed accumulation order, so results are
+// bit-identical at any parallelism.
 func (c *Conv2D) Forward(x *Batch) *Batch {
 	if x.Dims.C != c.InC {
 		panic(fmt.Sprintf("nn.Conv2D: input channels %d, layer expects %d", x.Dims.C, c.InC))
@@ -97,42 +102,53 @@ func (c *Conv2D) Forward(x *Batch) *Batch {
 	if outDims.H <= 0 || outDims.W <= 0 {
 		panic(fmt.Sprintf("nn.Conv2D: kernel %d too large for input %s", c.K, x.Dims))
 	}
-	out := NewBatch(x.N, outDims)
+	out := c.out.Resize(x.N, outDims)
 	kk := c.InC * c.K * c.K
 	p := outDims.H * outDims.W
 	c.cols = growFloats(c.cols, x.N*kk*p)
-	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
-	b := c.bias()
-	off := c.padOffset()
 	timing := kernelTimingOn.Load()
-	parallelSamples(x.N, 2*c.OutC*kk*p, func(n int) {
-		var t0 time.Time
-		if timing {
-			t0 = time.Now()
+	if c.exec == tensor.Serial {
+		for n := 0; n < x.N; n++ {
+			c.forwardSample(x, out, n, timing)
 		}
-		col := &tensor.Matrix{Rows: kk, Cols: p, Data: c.cols[n*kk*p : (n+1)*kk*p]}
-		im2col(x.Sample(n), col.Data, x.Dims, c.K, off, outDims)
-		if timing {
-			t1 := time.Now()
-			im2colNanos.Add(t1.Sub(t0).Nanoseconds())
-			t0 = t1
-		}
-		// y starts at the bias and accumulates weight·patch terms in
-		// the same (ic, ky, kx) order as the direct loop.
-		y := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: out.Sample(n)}
-		for oc := 0; oc < c.OutC; oc++ {
-			row := y.Data[oc*p : (oc+1)*p]
-			bias := b[oc]
-			for j := range row {
-				row[j] = bias
-			}
-		}
-		tensor.MatMulAddInto(y, w, col)
-		if timing {
-			gemmNanos.Add(time.Since(t0).Nanoseconds())
-		}
-	})
+		return out
+	}
+	parallelSamples(x.N, 2*c.OutC*kk*p, func(n int) { c.forwardSample(x, out, n, timing) })
 	return out
+}
+
+// forwardSample unpacks sample n of x into its cols panel and writes
+// its output channels.
+func (c *Conv2D) forwardSample(x, out *Batch, n int, timing bool) {
+	var t0 time.Time
+	if timing {
+		t0 = time.Now()
+	}
+	kk := c.InC * c.K * c.K
+	p := out.Dims.H * out.Dims.W
+	col := &tensor.Matrix{Rows: kk, Cols: p, Data: c.cols[n*kk*p : (n+1)*kk*p]}
+	im2col(x.Sample(n), col.Data, x.Dims, c.K, c.padOffset(), out.Dims)
+	if timing {
+		t1 := time.Now()
+		im2colNanos.Add(t1.Sub(t0).Nanoseconds())
+		t0 = t1
+	}
+	// y starts at the bias and accumulates weight·patch terms in the
+	// same (ic, ky, kx) order as the direct loop.
+	y := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: out.Sample(n)}
+	b := c.bias()
+	for oc := 0; oc < c.OutC; oc++ {
+		row := y.Data[oc*p : (oc+1)*p]
+		bias := b[oc]
+		for j := range row {
+			row[j] = bias
+		}
+	}
+	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
+	c.exec.MatMulAddInto(y, w, col)
+	if timing {
+		gemmNanos.Add(time.Since(t0).Nanoseconds())
+	}
 }
 
 // forwardNaive is the original direct 7-loop convolution, kept as the
@@ -188,49 +204,78 @@ func (c *Conv2D) forwardNaive(x *Batch) *Batch {
 
 // Backward accumulates weight/bias gradients and returns dL/dx. The
 // input gradient is computed per sample as Wᵀ·dY followed by col2im
-// (parallel across samples); the weight/bias gradients accumulate
-// serially in sample order against the im2col panels cached by
-// Forward, so gradient bits never depend on parallelism.
+// (parallel across samples unless the layer is serial); the weight/bias
+// gradients accumulate serially in sample order against the im2col
+// panels cached by Forward, so gradient bits never depend on
+// parallelism.
 func (c *Conv2D) Backward(dy *Batch) *Batch {
 	x := c.lastIn
 	if x == nil {
 		panic("nn.Conv2D: Backward before Forward")
 	}
-	dx := NewBatch(x.N, x.Dims)
+	dx := c.dx.Resize(x.N, x.Dims)
+	clear(dx.Data)
 	kk := c.InC * c.K * c.K
 	p := dy.Dims.H * dy.Dims.W
-	c.dcols = growFloats(c.dcols, x.N*kk*p)
-	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
-	gwM := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.grads[:c.OutC*kk]}
-	gb := c.grads[c.OutC*kk:]
-	off := c.padOffset()
 	timing := kernelTimingOn.Load()
-	parallelSamples(x.N, 4*c.OutC*kk*p, func(n int) {
-		var t0 time.Time
-		if timing {
-			t0 = time.Now()
+	if c.exec == tensor.Serial {
+		c.dcols = growFloats(c.dcols, kk*p)
+		for n := 0; n < x.N; n++ {
+			c.inputGradSample(dy, dx, n, c.dcols, timing)
 		}
-		dyM := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: dy.Sample(n)}
-		dcol := &tensor.Matrix{Rows: kk, Cols: p, Data: c.dcols[n*kk*p : (n+1)*kk*p]}
-		tensor.MatMulTNInto(dcol, w, dyM)
-		if timing {
-			t1 := time.Now()
-			gemmNanos.Add(t1.Sub(t0).Nanoseconds())
-			t0 = t1
-		}
-		col2im(dcol.Data, dx.Sample(n), x.Dims, c.K, off, dy.Dims)
-		if timing {
-			col2imNanos.Add(time.Since(t0).Nanoseconds())
-		}
-	})
+	} else {
+		c.dcols = growFloats(c.dcols, x.N*kk*p)
+		parallelSamples(x.N, 4*c.OutC*kk*p, func(n int) {
+			c.inputGradSample(dy, dx, n, c.dcols[n*kk*p:(n+1)*kk*p], timing)
+		})
+	}
+	c.backwardParams(dy)
+	return dx
+}
+
+// inputGradSample writes sample n of dx = col2im(Wᵀ·dY), using dcol as
+// the patch-gradient panel.
+func (c *Conv2D) inputGradSample(dy, dx *Batch, n int, dcol []float64, timing bool) {
 	var t0 time.Time
 	if timing {
 		t0 = time.Now()
 	}
-	for n := 0; n < x.N; n++ {
+	kk := c.InC * c.K * c.K
+	p := dy.Dims.H * dy.Dims.W
+	w := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.weights()}
+	dyM := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: dy.Sample(n)}
+	dcolM := &tensor.Matrix{Rows: kk, Cols: p, Data: dcol}
+	c.exec.MatMulTNInto(dcolM, w, dyM)
+	if timing {
+		t1 := time.Now()
+		gemmNanos.Add(t1.Sub(t0).Nanoseconds())
+		t0 = t1
+	}
+	col2im(dcol, dx.Sample(n), dx.Dims, c.K, c.padOffset(), dy.Dims)
+	if timing {
+		col2imNanos.Add(time.Since(t0).Nanoseconds())
+	}
+}
+
+// backwardParams accumulates the weight and bias gradients of dy,
+// sample by sample in increasing order, without the input gradient.
+func (c *Conv2D) backwardParams(dy *Batch) {
+	if c.lastIn == nil {
+		panic("nn.Conv2D: Backward before Forward")
+	}
+	kk := c.InC * c.K * c.K
+	p := dy.Dims.H * dy.Dims.W
+	gwM := &tensor.Matrix{Rows: c.OutC, Cols: kk, Data: c.grads[:c.OutC*kk]}
+	gb := c.grads[c.OutC*kk:]
+	var t0 time.Time
+	timing := kernelTimingOn.Load()
+	if timing {
+		t0 = time.Now()
+	}
+	for n := 0; n < dy.N; n++ {
 		dyM := &tensor.Matrix{Rows: c.OutC, Cols: p, Data: dy.Sample(n)}
 		col := &tensor.Matrix{Rows: kk, Cols: p, Data: c.cols[n*kk*p : (n+1)*kk*p]}
-		tensor.MatMulNTAddInto(gwM, dyM, col)
+		c.exec.MatMulNTAddInto(gwM, dyM, col)
 		g := dy.Sample(n)
 		for oc := 0; oc < c.OutC; oc++ {
 			s := gb[oc]
@@ -243,7 +288,6 @@ func (c *Conv2D) Backward(dy *Batch) *Batch {
 	if timing {
 		gemmNanos.Add(time.Since(t0).Nanoseconds())
 	}
-	return dx
 }
 
 // backwardNaive is the original direct-loop backward pass, kept as the
@@ -309,6 +353,8 @@ func (c *Conv2D) BiasLen() int { return c.OutC }
 
 // Grads returns a live view of the accumulated gradients.
 func (c *Conv2D) Grads() []float64 { return c.grads }
+
+func (c *Conv2D) setExec(e tensor.Exec) { c.exec = e }
 
 // Clone returns a parameter-copying deep copy.
 func (c *Conv2D) Clone() Layer {

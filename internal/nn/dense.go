@@ -21,8 +21,10 @@ type Dense struct {
 	// expose a single contiguous view.
 	params []float64 // len In*Out + Out
 	grads  []float64
+	exec   tensor.Exec
 
-	lastIn *Batch // cached input for backward
+	lastIn  *Batch // cached input for backward
+	out, dx Batch
 }
 
 var _ Layer = (*Dense)(nil)
@@ -63,7 +65,7 @@ func (d *Dense) Forward(x *Batch) *Batch {
 		panic(fmt.Sprintf("nn.Dense: input size %d, layer expects %d", x.Dims.Size(), d.In))
 	}
 	d.lastIn = x
-	out := NewBatch(x.N, Dims{C: d.Out, H: 1, W: 1})
+	out := d.out.Resize(x.N, Dims{C: d.Out, H: 1, W: 1})
 	w, b := d.weights(), d.bias()
 	var t0 time.Time
 	timing := kernelTimingOn.Load()
@@ -76,7 +78,7 @@ func (d *Dense) Forward(x *Batch) *Batch {
 	xm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: x.Data}
 	wm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: w}
 	ym := &tensor.Matrix{Rows: x.N, Cols: d.Out, Data: out.Data}
-	tensor.MatMulNTAddInto(ym, xm, wm)
+	d.exec.MatMulNTAddInto(ym, xm, wm)
 	if timing {
 		gemmNanos.Add(time.Since(t0).Nanoseconds())
 	}
@@ -116,8 +118,30 @@ func (d *Dense) Backward(dy *Batch) *Batch {
 	if x == nil {
 		panic("nn.Dense: Backward before Forward")
 	}
-	dx := NewBatch(x.N, x.Dims)
-	w := d.weights()
+	dx := d.dx.Resize(x.N, x.Dims)
+	var t0 time.Time
+	timing := kernelTimingOn.Load()
+	if timing {
+		t0 = time.Now()
+	}
+	dym := &tensor.Matrix{Rows: x.N, Cols: d.Out, Data: dy.Data}
+	wm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: d.weights()}
+	dxm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: dx.Data}
+	d.exec.MatMulInto(dxm, dym, wm)
+	if timing {
+		gemmNanos.Add(time.Since(t0).Nanoseconds())
+	}
+	d.backwardParams(dy)
+	return dx
+}
+
+// backwardParams accumulates dL/dW and dL/db without the input
+// gradient.
+func (d *Dense) backwardParams(dy *Batch) {
+	x := d.lastIn
+	if x == nil {
+		panic("nn.Dense: Backward before Forward")
+	}
 	gw := d.grads[:d.In*d.Out]
 	gb := d.grads[d.In*d.Out:]
 	var t0 time.Time
@@ -126,12 +150,9 @@ func (d *Dense) Backward(dy *Batch) *Batch {
 		t0 = time.Now()
 	}
 	dym := &tensor.Matrix{Rows: x.N, Cols: d.Out, Data: dy.Data}
-	wm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: w}
 	xm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: x.Data}
-	dxm := &tensor.Matrix{Rows: x.N, Cols: d.In, Data: dx.Data}
-	tensor.MatMulInto(dxm, dym, wm)
 	gwm := &tensor.Matrix{Rows: d.Out, Cols: d.In, Data: gw}
-	tensor.MatMulTNAddInto(gwm, dym, xm)
+	d.exec.MatMulTNAddInto(gwm, dym, xm)
 	for n := 0; n < x.N; n++ {
 		dyo := dy.Sample(n)
 		for o, g := range dyo {
@@ -141,7 +162,6 @@ func (d *Dense) Backward(dy *Batch) *Batch {
 	if timing {
 		gemmNanos.Add(time.Since(t0).Nanoseconds())
 	}
-	return dx
 }
 
 // backwardNaive is the original per-sample loop, kept as the reference
@@ -188,6 +208,8 @@ func (d *Dense) Grads() []float64 { return d.grads }
 
 // OutputDims reports the flattened output shape.
 func (d *Dense) OutputDims(Dims) Dims { return Dims{C: d.Out, H: 1, W: 1} }
+
+func (d *Dense) setExec(e tensor.Exec) { d.exec = e }
 
 // Clone returns a parameter-copying deep copy.
 func (d *Dense) Clone() Layer {

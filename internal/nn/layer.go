@@ -10,8 +10,11 @@ import "fuiov/internal/rng"
 // the gradient with respect to the layer input, accumulating parameter
 // gradients into the slice returned by Grads.
 //
-// Layers are NOT safe for concurrent use; the simulator gives each
-// client goroutine its own network clone.
+// The batches Forward and Backward return are owned by the layer and
+// reused by its next call. Backward may overwrite dy, and must not read
+// the batch its own Forward returned: Network.LossAndGrad overwrites
+// the logits with their gradient. Layers are NOT safe for concurrent
+// use; the simulator gives each client its own network clone.
 type Layer interface {
 	// Forward runs the layer on x and returns the output batch.
 	Forward(x *Batch) *Batch

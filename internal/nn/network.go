@@ -4,14 +4,42 @@ import (
 	"fmt"
 
 	"fuiov/internal/rng"
+	"fuiov/internal/tensor"
 )
 
 // Network is a sequential stack of layers ending in logits, trained
 // with softmax cross-entropy. It exposes its parameters and gradients
 // as flat vectors — the exchange format of the FL simulator.
+//
+// The batches Forward returns, and those the layers pass each other,
+// are buffers the layers own: each stays valid until the next call on
+// the same network.
 type Network struct {
 	InDims Dims
 	layers []Layer
+}
+
+// execLayer is implemented by the layers whose kernels can fan out
+// over goroutines.
+type execLayer interface{ setExec(tensor.Exec) }
+
+// paramBackwarder is implemented by layers that can accumulate their
+// parameter gradients without computing the input gradient. Backward
+// uses it for the first layer, whose input gradient nobody reads.
+type paramBackwarder interface{ backwardParams(dy *Batch) }
+
+// SetExec selects where the network's kernels compute. The default,
+// tensor.Parallel, lets the convolution sample loops and the GEMM row
+// kernels fan out over GOMAXPROCS goroutines; tensor.Serial keeps every
+// kernel on the calling goroutine, for a replica that already runs on
+// one of several concurrent workers. Results are bit-identical either
+// way. Clones start at tensor.Parallel.
+func (n *Network) SetExec(e tensor.Exec) {
+	for _, l := range n.layers {
+		if el, ok := l.(execLayer); ok {
+			el.setExec(e)
+		}
+	}
 }
 
 // NewNetwork builds a sequential network over the given input shape.
@@ -92,11 +120,21 @@ func (n *Network) ZeroGrads() {
 }
 
 // Backward propagates dLogits through the stack, accumulating
-// parameter gradients.
+// parameter gradients. Layers may overwrite the gradient batches they
+// receive, dLogits included. The first layer's input gradient is
+// never computed when the layer can skip it.
 func (n *Network) Backward(dLogits *Batch) {
 	dy := dLogits
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		dy = n.layers[i].Backward(dy)
+	}
+	if len(n.layers) == 0 {
+		return
+	}
+	if pb, ok := n.layers[0].(paramBackwarder); ok {
+		pb.backwardParams(dy)
+	} else {
+		n.layers[0].Backward(dy)
 	}
 }
 
@@ -107,13 +145,11 @@ func (n *Network) Backward(dLogits *Batch) {
 func (n *Network) LossAndGrad(x *Batch, labels []int) (loss float64, correct int) {
 	n.ZeroGrads()
 	logits := n.Forward(x)
-	loss, dLogits := SoftmaxCrossEntropy(logits, labels)
-	for i, p := range Argmax(logits) {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	n.Backward(dLogits)
+	correct = countCorrect(logits, labels)
+	// The logit gradient overwrites the logits in place: no layer's
+	// Backward reads the batch its own Forward returned.
+	loss = softmaxCrossEntropyInto(logits, logits, labels)
+	n.Backward(logits)
 	return loss, correct
 }
 
@@ -226,13 +262,7 @@ func (n *Network) Clone() *Network {
 // and returns (mean loss, number correct).
 func (n *Network) Evaluate(x *Batch, labels []int) (loss float64, correct int) {
 	logits := n.Forward(x)
-	loss, _ = SoftmaxCrossEntropy(logits, labels)
-	for i, p := range Argmax(logits) {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return loss, correct
+	return softmaxCrossEntropyInto(nil, logits, labels), countCorrect(logits, labels)
 }
 
 // Predict returns the argmax class for each sample in the batch.

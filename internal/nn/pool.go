@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fuiov/internal/rng"
 )
@@ -14,8 +15,8 @@ type MaxPool2D struct {
 	Size int
 
 	lastIn  *Batch
-	argmax  []int // flat index (within sample) of each output's source
-	outDims Dims
+	out, dx Batch
+	argmax  []int32 // flat index (within sample) of each output's source
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -41,10 +42,9 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 		panic(fmt.Sprintf("nn.MaxPool2D: window %d too large for input %s", p.Size, x.Dims))
 	}
 	p.lastIn = x
-	p.outDims = outDims
-	out := NewBatch(x.N, outDims)
+	out := p.out.Resize(x.N, outDims)
 	if cap(p.argmax) < x.N*outDims.Size() {
-		p.argmax = make([]int, x.N*outDims.Size())
+		p.argmax = make([]int32, x.N*outDims.Size())
 	}
 	p.argmax = p.argmax[:x.N*outDims.Size()]
 	ih, iw := x.Dims.H, x.Dims.W
@@ -61,19 +61,31 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 					for ky := 0; ky < p.Size; ky++ {
 						for kx := 0; kx < p.Size; kx++ {
 							idx := c*ih*iw + (oy*p.Size+ky)*iw + (ox*p.Size + kx)
-							if in[idx] > best {
-								best, bestIdx = in[idx], idx
-							}
+							best, bestIdx = maxStep(best, bestIdx, in[idx], idx)
 						}
 					}
 					o := (c*oh+oy)*ow + ox
 					y[o] = best
-					am[o] = bestIdx
+					am[o] = int32(bestIdx)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// maxStep returns (v, vi) when v > best and (best, bi) otherwise, as
+// `if v > best` would, but through bit masks rather than a branch:
+// which window element wins is close to random, so a branch would
+// mispredict often.
+func maxStep(best float64, bi int, v float64, vi int) (float64, int) {
+	var gt int
+	if v > best {
+		gt = 1
+	}
+	m := -gt
+	bb, vb := math.Float64bits(best), math.Float64bits(v)
+	return math.Float64frombits(bb ^ ((bb ^ vb) & uint64(m))), bi ^ ((bi ^ vi) & m)
 }
 
 // Backward routes each output gradient to its argmax input position.
@@ -82,8 +94,9 @@ func (p *MaxPool2D) Backward(dy *Batch) *Batch {
 	if x == nil {
 		panic("nn.MaxPool2D: Backward before Forward")
 	}
-	dx := NewBatch(x.N, x.Dims)
-	osz := p.outDims.Size()
+	dx := p.dx.Resize(x.N, x.Dims)
+	clear(dx.Data)
+	osz := p.out.Dims.Size()
 	for n := 0; n < x.N; n++ {
 		g := dy.Sample(n)
 		din := dx.Sample(n)
@@ -110,7 +123,7 @@ func (p *MaxPool2D) Clone() Layer { return NewMaxPool2D(p.Size) }
 // Flatten reshapes CxHxW activations into a feature vector; it is the
 // bridge between convolutional and dense stages.
 type Flatten struct {
-	lastDims Dims
+	out, dx Batch
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -124,13 +137,15 @@ func (f *Flatten) OutputDims(in Dims) Dims { return in.Flat() }
 // Forward reinterprets the batch with a flat shape; data is shared
 // since the memory layout is identical.
 func (f *Flatten) Forward(x *Batch) *Batch {
-	f.lastDims = x.Dims
-	return &Batch{N: x.N, Dims: x.Dims.Flat(), Data: x.Data}
+	f.out = Batch{N: x.N, Dims: x.Dims.Flat(), Data: x.Data}
+	f.dx.Dims = x.Dims
+	return &f.out
 }
 
 // Backward restores the original shape.
 func (f *Flatten) Backward(dy *Batch) *Batch {
-	return &Batch{N: dy.N, Dims: f.lastDims, Data: dy.Data}
+	f.dx.N, f.dx.Data = dy.N, dy.Data
+	return &f.dx
 }
 
 // Params returns nil; Flatten has no parameters.

@@ -42,15 +42,24 @@ func Mix(seed uint64, labels ...uint64) uint64 {
 // goroutine with Split.
 type RNG struct {
 	src *rand.Rand
+	pcg *rand.PCG // src's state, kept for Reseed
 	// seed retains the construction seed so the RNG can be split.
 	seed uint64
 }
 
 // New returns an RNG seeded with seed.
 func New(seed uint64) *RNG {
+	pcg := new(rand.PCG)
+	r := &RNG{src: rand.New(pcg), pcg: pcg}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r as New(seed) would, without allocating.
+func (r *RNG) Reseed(seed uint64) {
 	lo := splitMix64(seed)
-	hi := splitMix64(lo)
-	return &RNG{src: rand.New(rand.NewPCG(lo, hi)), seed: seed}
+	r.pcg.Seed(lo, splitMix64(lo))
+	r.seed = seed
 }
 
 // Split derives an independent RNG labelled by the given values.
@@ -88,6 +97,15 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
+
+// PermInto fills p with a random permutation of [0, len(p)), drawing
+// the same values as Perm(len(p)) without allocating.
+func (r *RNG) PermInto(p []int) {
+	for i := range p {
+		p[i] = i
+	}
+	r.src.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+}
 
 // Shuffle permutes the first n elements using the provided swap
 // function, matching the contract of rand.Shuffle.

@@ -273,3 +273,49 @@ func TestShuffleIsPermutation(t *testing.T) {
 		seen[x] = true
 	}
 }
+
+// TestPermIntoMatchesPerm requires PermInto to draw exactly what Perm
+// draws, so callers can switch to it without moving any seeded stream,
+// and to allocate nothing.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 300} {
+		a, b := New(uint64(n)+9), New(uint64(n)+9)
+		want := a.Perm(n)
+		got := make([]int, n)
+		b.PermInto(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto[%d] = %d, Perm = %d", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams diverge after the permutation", n)
+		}
+	}
+	r, p := New(1), make([]int, 100)
+	if allocs := testing.AllocsPerRun(20, func() { r.PermInto(p) }); allocs != 0 {
+		t.Errorf("PermInto allocates %.0f times per call", allocs)
+	}
+}
+
+// TestReseedMatchesNew requires a reseeded RNG to continue exactly as a
+// fresh one, whatever it drew before.
+func TestReseedMatchesNew(t *testing.T) {
+	r := New(5)
+	for i := 0; i < 17; i++ {
+		r.Normal()
+	}
+	r.Reseed(77)
+	fresh := New(77)
+	if r.Seed() != 77 {
+		t.Fatalf("Seed() = %d after Reseed(77)", r.Seed())
+	}
+	for i := 0; i < 50; i++ {
+		if a, b := r.Uint64(), fresh.Uint64(); a != b {
+			t.Fatalf("draw %d: reseeded %d, fresh %d", i, a, b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.Reseed(3) }); allocs != 0 {
+		t.Errorf("Reseed allocates %.0f times per call", allocs)
+	}
+}

@@ -72,6 +72,26 @@ func mustShape(op string, gotR, gotC, wantR, wantC int) {
 	}
 }
 
+// Exec selects where a GEMM kernel computes. Parallel, the zero
+// value, splits the output rows across GOMAXPROCS goroutines once the
+// work amortises their startup. Serial always computes on the calling
+// goroutine: it is for callers that already run one kernel stream per
+// core, such as a federated client's model replica under the round
+// engine's worker pool, where a second level of goroutines only
+// oversubscribes the cores. Both produce identical bits.
+type Exec uint8
+
+const (
+	// Parallel fans large kernels out over GOMAXPROCS goroutines.
+	Parallel Exec = iota
+	// Serial computes every kernel on the calling goroutine.
+	Serial
+)
+
+func (e Exec) serial(rows, flopsPerRow int) bool {
+	return e == Serial || serialRows(rows, flopsPerRow)
+}
+
 // MatMul returns a*b. It panics on an inner-dimension mismatch.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
@@ -79,13 +99,16 @@ func MatMul(a, b *Matrix) *Matrix {
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
-	gemmNN(out, a, b)
+	Parallel.gemmNN(out, a, b)
 	return out
 }
 
 // MatMulInto sets dst = a*b, reusing dst's backing array. dst must
 // already have shape a.Rows × b.Cols and must not alias a or b.
-func MatMulInto(dst, a, b *Matrix) {
+func MatMulInto(dst, a, b *Matrix) { Parallel.MatMulInto(dst, a, b) }
+
+// MatMulInto is the package-level MatMulInto run under e.
+func (e Exec) MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor.MatMulInto: inner dimension mismatch %dx%d * %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols))
@@ -94,27 +117,30 @@ func MatMulInto(dst, a, b *Matrix) {
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
-	gemmNN(dst, a, b)
+	e.gemmNN(dst, a, b)
 }
 
 // MatMulAddInto sets dst += a*b. Accumulation starts from dst's
 // current contents (e.g. a bias row), in k-increasing term order.
-func MatMulAddInto(dst, a, b *Matrix) {
+func MatMulAddInto(dst, a, b *Matrix) { Parallel.MatMulAddInto(dst, a, b) }
+
+// MatMulAddInto is the package-level MatMulAddInto run under e.
+func (e Exec) MatMulAddInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor.MatMulAddInto: inner dimension mismatch %dx%d * %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape("MatMulAddInto", dst.Rows, dst.Cols, a.Rows, b.Cols)
-	gemmNN(dst, a, b)
+	e.gemmNN(dst, a, b)
 }
 
 // gemmNN accumulates dst += a*b with k- and j-blocking. Per output
 // element the term order is strictly k-increasing (blocks are visited
 // in order and j-blocking does not touch it), so the result is
 // independent of both blocking and row partitioning.
-func gemmNN(dst, a, b *Matrix) {
+func (e Exec) gemmNN(dst, a, b *Matrix) {
 	k, n := a.Cols, b.Cols
-	if serialRows(a.Rows, 2*k*n) {
+	if e.serial(a.Rows, 2*k*n) {
 		gemmNNRange(dst, a, b, 0, a.Rows)
 		return
 	}
@@ -125,76 +151,134 @@ func gemmNN(dst, a, b *Matrix) {
 	parallelRows(a.Rows, func(lo, hi int) { gemmNNRange(&dd, &aa, &bb, lo, hi) })
 }
 
-// gemmNNRange accumulates output rows [lo, hi) of dst += a*b.
+// gemmNNRange accumulates output rows [lo, hi) of dst += a*b. Within a
+// k-block each row's non-zero terms go through an axpyQueue, which
+// adds them four at a time in k order.
 func gemmNNRange(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Cols
 	for kb := 0; kb < k; kb += gemmBlockK {
-		kEnd := kb + gemmBlockK
-		if kEnd > k {
-			kEnd = k
-		}
+		kEnd := min(kb+gemmBlockK, k)
 		for jb := 0; jb < n; jb += gemmBlockJ {
-			jEnd := jb + gemmBlockJ
-			if jEnd > n {
-				jEnd = n
-			}
+			jEnd := min(jb+gemmBlockJ, n)
 			for i := lo; i < hi; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				orow := dst.Data[i*n+jb : i*n+jEnd]
-				for kk := kb; kk < kEnd; kk++ {
-					av := arow[kk]
+				q := axpyQueue{out: dst.Data[i*n+jb : i*n+jEnd]}
+				for kk, av := range a.Data[i*k+kb : i*k+kEnd] {
 					if av == 0 {
 						continue
 					}
-					brow := b.Data[kk*n+jb : kk*n+jEnd]
-					saxpy(orow, av, brow)
+					row := (kb + kk) * n
+					q.push(av, b.Data[row+jb:row+jEnd])
 				}
+				q.flush()
 			}
 		}
 	}
 }
 
-// saxpy computes orow[j] += av*brow[j], unrolled 4×. The unroll runs
-// over independent output elements (j), never across the k summation,
-// so each element's term order — and therefore every bit of the result
-// — is unchanged.
-func saxpy(orow []float64, av float64, brow []float64) {
-	n := len(brow)
-	if len(orow) < n {
-		n = len(orow)
+// axpyQueue adds scaled rows into one output row, out[j] += a*b[j],
+// up to four rows per pass over out. Each element still receives its
+// terms one rounded add at a time in push order, so the bits match
+// adding the rows one by one; the fused pass just loads and stores
+// out once per four terms instead of once per term.
+type axpyQueue struct {
+	out []float64
+	n   int
+	a   [4]float64
+	b   [4][]float64
+}
+
+// push queues out += av*brow, flushing when four rows are waiting.
+func (q *axpyQueue) push(av float64, brow []float64) {
+	q.a[q.n], q.b[q.n] = av, brow
+	q.n++
+	if q.n == 4 {
+		axpy4(q.out, q.a[0], q.a[1], q.a[2], q.a[3], q.b[0], q.b[1], q.b[2], q.b[3])
+		q.n = 0
 	}
-	orow, brow = orow[:n], brow[:n]
-	j := 0
-	for ; j+3 < n; j += 4 {
-		orow[j] += av * brow[j]
-		orow[j+1] += av * brow[j+1]
-		orow[j+2] += av * brow[j+2]
-		orow[j+3] += av * brow[j+3]
+}
+
+// flush applies the queued rows, in push order.
+func (q *axpyQueue) flush() {
+	switch q.n {
+	case 3:
+		axpy3(q.out, q.a[0], q.a[1], q.a[2], q.b[0], q.b[1], q.b[2])
+	case 2:
+		axpy2(q.out, q.a[0], q.a[1], q.b[0], q.b[1])
+	case 1:
+		axpy1(q.out, q.a[0], q.b[0])
 	}
-	for ; j < n; j++ {
-		orow[j] += av * brow[j]
+	q.n = 0
+}
+
+func axpy4(out []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	n := len(out)
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	for j := 0; j < n; j++ {
+		o := out[j]
+		o += a0 * b0[j]
+		o += a1 * b1[j]
+		o += a2 * b2[j]
+		o += a3 * b3[j]
+		out[j] = o
+	}
+}
+
+func axpy3(out []float64, a0, a1, a2 float64, b0, b1, b2 []float64) {
+	n := len(out)
+	b0, b1, b2 = b0[:n], b1[:n], b2[:n]
+	for j := 0; j < n; j++ {
+		o := out[j]
+		o += a0 * b0[j]
+		o += a1 * b1[j]
+		o += a2 * b2[j]
+		out[j] = o
+	}
+}
+
+func axpy2(out []float64, a0, a1 float64, b0, b1 []float64) {
+	n := len(out)
+	b0, b1 = b0[:n], b1[:n]
+	for j := 0; j < n; j++ {
+		o := out[j]
+		o += a0 * b0[j]
+		o += a1 * b1[j]
+		out[j] = o
+	}
+}
+
+func axpy1(out []float64, a0 float64, b0 []float64) {
+	n := len(out)
+	b0 = b0[:n]
+	for j := 0; j < n; j++ {
+		out[j] += a0 * b0[j]
 	}
 }
 
 // MatMulNTInto sets dst = a*bᵀ (b stored row-major, not transposed in
 // memory). dst must have shape a.Rows × b.Rows.
-func MatMulNTInto(dst, a, b *Matrix) {
-	gemmNTChecked("MatMulNTInto", dst, a, b, false)
+func MatMulNTInto(dst, a, b *Matrix) { Parallel.MatMulNTInto(dst, a, b) }
+
+// MatMulNTInto is the package-level MatMulNTInto run under e.
+func (e Exec) MatMulNTInto(dst, a, b *Matrix) {
+	e.gemmNTChecked("MatMulNTInto", dst, a, b, false)
 }
 
 // MatMulNTAddInto sets dst += a*bᵀ, accumulating from dst's current
 // contents.
-func MatMulNTAddInto(dst, a, b *Matrix) {
-	gemmNTChecked("MatMulNTAddInto", dst, a, b, true)
+func MatMulNTAddInto(dst, a, b *Matrix) { Parallel.MatMulNTAddInto(dst, a, b) }
+
+// MatMulNTAddInto is the package-level MatMulNTAddInto run under e.
+func (e Exec) MatMulNTAddInto(dst, a, b *Matrix) {
+	e.gemmNTChecked("MatMulNTAddInto", dst, a, b, true)
 }
 
-func gemmNTChecked(op string, dst, a, b *Matrix, acc bool) {
+func (e Exec) gemmNTChecked(op string, dst, a, b *Matrix, acc bool) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor.%s: inner dimension mismatch %dx%d * (%dx%d)^T",
 			op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape(op, dst.Rows, dst.Cols, a.Rows, b.Rows)
-	if serialRows(a.Rows, 2*a.Cols*b.Rows) {
+	if e.serial(a.Rows, 2*a.Cols*b.Rows) {
 		gemmNTRange(dst, a, b, acc, 0, a.Rows)
 		return
 	}
@@ -203,12 +287,33 @@ func gemmNTChecked(op string, dst, a, b *Matrix, acc bool) {
 }
 
 // gemmNTRange computes output rows [lo, hi) of dst = (dst +) a*bᵀ.
+// Each output element is a dot product of two rows; four columns are
+// computed per pass over the a row, each in its own k-increasing
+// accumulator, so the a row is loaded once per four outputs.
 func gemmNTRange(dst, a, b *Matrix, acc bool, lo, hi int) {
 	k, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		j := 0
+		for ; j+3 < n; j += 4 {
+			b0 := b.Data[j*k : (j+1)*k]
+			b1 := b.Data[(j+1)*k : (j+2)*k]
+			b2 := b.Data[(j+2)*k : (j+3)*k]
+			b3 := b.Data[(j+3)*k : (j+4)*k]
+			var s0, s1, s2, s3 float64
+			if acc {
+				s0, s1, s2, s3 = orow[j], orow[j+1], orow[j+2], orow[j+3]
+			}
+			for kk, av := range arow {
+				s0 += av * b0[kk]
+				s1 += av * b1[kk]
+				s2 += av * b2[kk]
+				s3 += av * b3[kk]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
 			brow := b.Data[j*k : (j+1)*k]
 			s := 0.0
 			if acc {
@@ -224,25 +329,31 @@ func gemmNTRange(dst, a, b *Matrix, acc bool, lo, hi int) {
 
 // MatMulTNInto sets dst = aᵀ*b (a stored row-major). dst must have
 // shape a.Cols × b.Cols.
-func MatMulTNInto(dst, a, b *Matrix) {
-	gemmTNChecked("MatMulTNInto", dst, a, b, false)
+func MatMulTNInto(dst, a, b *Matrix) { Parallel.MatMulTNInto(dst, a, b) }
+
+// MatMulTNInto is the package-level MatMulTNInto run under e.
+func (e Exec) MatMulTNInto(dst, a, b *Matrix) {
+	e.gemmTNChecked("MatMulTNInto", dst, a, b, false)
 }
 
 // MatMulTNAddInto sets dst += aᵀ*b, accumulating from dst's current
 // contents. The inner sum runs over a's rows in increasing order, which
 // is what keeps batched gradient accumulation bit-identical to the
 // per-sample loop it replaces.
-func MatMulTNAddInto(dst, a, b *Matrix) {
-	gemmTNChecked("MatMulTNAddInto", dst, a, b, true)
+func MatMulTNAddInto(dst, a, b *Matrix) { Parallel.MatMulTNAddInto(dst, a, b) }
+
+// MatMulTNAddInto is the package-level MatMulTNAddInto run under e.
+func (e Exec) MatMulTNAddInto(dst, a, b *Matrix) {
+	e.gemmTNChecked("MatMulTNAddInto", dst, a, b, true)
 }
 
-func gemmTNChecked(op string, dst, a, b *Matrix, acc bool) {
+func (e Exec) gemmTNChecked(op string, dst, a, b *Matrix, acc bool) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor.%s: inner dimension mismatch (%dx%d)^T * %dx%d",
 			op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	mustShape(op, dst.Rows, dst.Cols, a.Cols, b.Cols)
-	if serialRows(a.Cols, 2*a.Rows*b.Cols) {
+	if e.serial(a.Cols, 2*a.Rows*b.Cols) {
 		gemmTNRange(dst, a, b, acc, 0, a.Cols)
 		return
 	}
@@ -251,7 +362,8 @@ func gemmTNChecked(op string, dst, a, b *Matrix, acc bool) {
 }
 
 // gemmTNRange computes output rows [lo, hi) of dst = (dst +) aᵀ*b.
-// The inner sum runs over a's rows in increasing order per element.
+// The inner sum runs over a's rows in increasing order per element,
+// queued four non-zero terms at a time like gemmNNRange.
 func gemmTNRange(dst, a, b *Matrix, acc bool, lo, hi int) {
 	k, n, ac := a.Rows, b.Cols, a.Cols
 	for i := lo; i < hi; i++ {
@@ -261,13 +373,15 @@ func gemmTNRange(dst, a, b *Matrix, acc bool, lo, hi int) {
 				orow[j] = 0
 			}
 		}
+		q := axpyQueue{out: orow}
 		for kk := 0; kk < k; kk++ {
 			av := a.Data[kk*ac+i]
 			if av == 0 {
 				continue
 			}
-			saxpy(orow, av, b.Data[kk*n:(kk+1)*n])
+			q.push(av, b.Data[kk*n:(kk+1)*n])
 		}
+		q.flush()
 	}
 }
 

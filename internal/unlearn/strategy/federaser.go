@@ -75,8 +75,16 @@ func (FedEraser) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		var calls []*fl.Client
+		for _, id := range participants {
+			if c, ok := live[id]; ok && !excluded[id] {
+				calls = append(calls, c)
+			}
+		}
+		fresh, errs := computeGradients(calls, req.Template, w, req.Seed, t, req.Parallelism)
 		grads := make(map[history.ClientID][]float64, len(participants))
 		weights := make(map[history.ClientID]float64, len(participants))
+		next := 0 // index into calls of the next live participant
 		for _, id := range participants {
 			if excluded[id] {
 				continue
@@ -90,16 +98,17 @@ func (FedEraser) Unlearn(ctx context.Context, req Request) (*Result, error) {
 				return nil, err
 			}
 			g := stored
-			if c, ok := live[id]; ok {
-				fresh, err := c.ComputeGradient(req.Template, w, req.Seed, t)
+			if _, ok := live[id]; ok {
+				u, err := fresh[next], errs[next]
+				next++
 				if err != nil {
 					return nil, fmt.Errorf("federaser round %d client %d: %w", t, id, err)
 				}
 				clientWork++
-				storedNorm, freshNorm := tensor.Norm2(stored), tensor.Norm2(fresh)
+				storedNorm, freshNorm := tensor.Norm2(stored), tensor.Norm2(u)
 				if storedNorm > 0 && freshNorm > 0 {
-					tensor.ScaleInPlace(storedNorm/freshNorm, fresh)
-					g = fresh
+					tensor.ScaleInPlace(storedNorm/freshNorm, u)
+					g = u
 					calibrated.Inc()
 				}
 			}

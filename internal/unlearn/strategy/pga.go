@@ -76,15 +76,15 @@ func (p PGA) Unlearn(ctx context.Context, req Request) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		fresh, errs := computeGradients(targets, req.Template, w, ascentSeed, step, req.Parallelism)
 		grads := make(map[history.ClientID][]float64, len(targets))
 		weights := make(map[history.ClientID]float64, len(targets))
-		for _, c := range targets {
-			g, err := c.ComputeGradient(req.Template, w, ascentSeed, step)
-			if err != nil {
-				return nil, fmt.Errorf("pga ascent step %d client %d: %w", step, c.ID, err)
+		for i, c := range targets {
+			if errs[i] != nil {
+				return nil, fmt.Errorf("pga ascent step %d client %d: %w", step, c.ID, errs[i])
 			}
 			clientWork++
-			grads[c.ID] = g
+			grads[c.ID] = fresh[i]
 			weights[c.ID] = c.Weight()
 		}
 		update, err := agg.Aggregate(grads, weights)

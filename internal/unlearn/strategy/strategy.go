@@ -22,9 +22,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fuiov/internal/baselines"
 	"fuiov/internal/fl"
@@ -329,4 +331,33 @@ func sortedForgotten(ids []history.ClientID) []history.ClientID {
 	out := append([]history.ClientID(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// computeGradients asks every client for its gradient at params, on up
+// to parallelism goroutines (0 = GOMAXPROCS), and returns the results
+// and errors aligned with clients. Each client's replica computes
+// serially, so this pool is the only fan-out; the results do not
+// depend on it.
+func computeGradients(clients []*fl.Client, template *nn.Network, params []float64,
+	seed uint64, round, parallelism int) ([][]float64, []error) {
+	grads := make([][]float64, len(clients))
+	errs := make([]error, len(clients))
+	workers := parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(clients))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(clients); i = int(next.Add(1)) - 1 {
+				grads[i], errs[i] = clients[i].ComputeGradient(template, params, seed, round)
+			}
+		}()
+	}
+	wg.Wait()
+	return grads, errs
 }

@@ -173,6 +173,36 @@ func TestStrategyDeterminism(t *testing.T) {
 	}
 }
 
+// TestClientFanOutBitIdentity runs the strategies that ask live
+// clients for fresh gradients — FedEraser's calibration and PGA's
+// ascent — with one worker and with four, and demands bit-equal
+// results: the gradients are computed side by side but aggregated in
+// client-ID order. Two clients are forgotten so PGA's ascent fans out
+// too.
+func TestClientFanOutBitIdentity(t *testing.T) {
+	for _, name := range []string{"federaser", "pga"} {
+		var want []float64
+		for _, par := range []int{1, 4} {
+			req := fixture(t)
+			req.Forgotten = []history.ClientID{1, 3}
+			req.Parallelism = par
+			res, err := Unlearn(context.Background(), name, req)
+			if err != nil {
+				t.Fatalf("%s at Parallelism %d: %v", name, par, err)
+			}
+			if want == nil {
+				want = res.Params
+				continue
+			}
+			for i := range want {
+				if math.Float64bits(res.Params[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: param %d is %v at Parallelism %d, %v at 1", name, i, res.Params[i], par, want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestPaperBitIdentity proves the strategy layer is a zero-cost
 // wrapper: the "paper" strategy's output is bit-identical to driving
 // unlearn.Unlearner directly with the same configuration.
