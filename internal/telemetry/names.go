@@ -160,9 +160,12 @@ const (
 
 	// verify — the forgetting-verification suite (internal/verify):
 	// shadow-model membership inference, backdoor retention and
-	// relearn-time scoring of unlearned models (DESIGN.md §17).
+	// relearn-time scoring of unlearned models (DESIGN.md §17). The
+	// shadows train concurrently, so verify.shadow.train observes
+	// overlapping spans: its sum can exceed the verify.suite span that
+	// contains them, unlike the other parent/child timers here.
 	VerifySuite         = "verify.suite"           // timer: NewSuite (shadow training + attack fit + before scores)
-	VerifyShadowTrain   = "verify.shadow.train"    // timer: one shadow model's training run
+	VerifyShadowTrain   = "verify.shadow.train"    // timer: one shadow model's training run (spans overlap)
 	VerifyShadowModels  = "verify.shadow.models"   // counter: shadow models trained
 	VerifyAttackFit     = "verify.mia.fit"         // timer: logistic attack fit over shadow features
 	VerifyMIAEvals      = "verify.mia.evaluations" // counter: membership-advantage evaluations

@@ -231,7 +231,8 @@ type Suite struct {
 }
 
 // NewSuite trains the shadow models, fits the membership attack and
-// scores the pre-unlearn model. The context cancels shadow training.
+// scores the pre-unlearn model. The context cancels shadow training;
+// a cancelled NewSuite returns once every shadow worker has exited.
 func NewSuite(ctx context.Context, tgt Target, cfg Config) (*Suite, error) {
 	cfg = cfg.withDefaults()
 	if err := tgt.validate(cfg); err != nil {
