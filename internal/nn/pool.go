@@ -55,6 +55,12 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 		am := p.argmax[n*outDims.Size() : (n+1)*outDims.Size()]
 		for c := 0; c < x.Dims.C; c++ {
 			for oy := 0; oy < oh; oy++ {
+				if p.Size == 2 {
+					top := c*ih*iw + 2*oy*iw // the row's first window corner
+					o := (c*oh + oy) * ow
+					maxPool2Row(in[top:top+2*ow], in[top+iw:top+iw+2*ow], top, iw, y[o:o+ow], am[o:o+ow])
+					continue
+				}
 				for ox := 0; ox < ow; ox++ {
 					bestIdx := c*ih*iw + (oy*p.Size)*iw + ox*p.Size
 					best := in[bestIdx]
@@ -72,6 +78,22 @@ func (p *MaxPool2D) Forward(x *Batch) *Batch {
 		}
 	}
 	return out
+}
+
+// maxPool2Row pools one output row of 2×2 windows whose upper input
+// row is r0 (flat index top) and lower row r1 (flat index top+iw). It
+// visits each window in the general loop's row-major order, so ties
+// and NaNs resolve the same way, without recomputing flat indices per
+// element.
+func maxPool2Row(r0, r1 []float64, top, iw int, y []float64, am []int32) {
+	for ox := range y {
+		j := 2 * ox
+		best, bi := maxStep(r0[j], top+j, r0[j+1], top+j+1)
+		best, bi = maxStep(best, bi, r1[j], top+iw+j)
+		best, bi = maxStep(best, bi, r1[j+1], top+iw+j+1)
+		y[ox] = best
+		am[ox] = int32(bi)
+	}
 }
 
 // maxStep returns (v, vi) when v > best and (best, bi) otherwise, as

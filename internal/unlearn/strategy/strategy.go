@@ -22,11 +22,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"fuiov/internal/baselines"
 	"fuiov/internal/fl"
@@ -342,22 +340,8 @@ func computeGradients(clients []*fl.Client, template *nn.Network, params []float
 	seed uint64, round, parallelism int) ([][]float64, []error) {
 	grads := make([][]float64, len(clients))
 	errs := make([]error, len(clients))
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(clients))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(clients); i = int(next.Add(1)) - 1 {
-				grads[i], errs[i] = clients[i].ComputeGradient(template, params, seed, round)
-			}
-		}()
-	}
-	wg.Wait()
+	fl.ForEach(len(clients), parallelism, func(_, i int) {
+		grads[i], errs[i] = clients[i].ComputeGradient(template, params, seed, round)
+	})
 	return grads, errs
 }
